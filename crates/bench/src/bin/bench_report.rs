@@ -10,16 +10,12 @@
 //! events processed, and simulated-events/sec; the file also carries peak
 //! RSS and the thread count so CI runs are comparable over time.
 //!
-//! Schema v3 adds a `"par"` backend cell — the DH workload on the
-//! node-sharded parallel kernel (`Sim::run_parallel`, 8 worker shards),
-//! fingerprint asserted equal to the serial run — and the `--check` gate.
-//! Schema v4 adds the `"par8-traced"` cell: the traced DH workload on the
-//! parallel kernel, its Chrome trace asserted byte-identical to the
-//! serial traced run's.
-//! Schema v5 adds the flight-recorder cell to the `telemetry` block: the
-//! DH workload with the bounded ring armed and the span buffer off (the
-//! always-on serving shape), its marginal cost gated by the same
-//! [`OVERHEAD_CEILING`] as full tracing.
+//! Schema v3 adds the `--check` gate. Schema v5 adds the flight-recorder
+//! cell to the `telemetry` block: the DH workload with the bounded ring
+//! armed and the span buffer off (the always-on serving shape), its
+//! marginal cost gated by the same [`OVERHEAD_CEILING`] as full tracing.
+//! Schema v6 drops the two parallel-kernel cells (untraced and traced DH)
+//! along with the kernel itself.
 //!
 //! Usage: `bench_report [--quick] [--threads N] [--seed N] [--out PATH]
 //!         [--check] [--baseline PATH]`
@@ -38,9 +34,8 @@ use std::time::Instant;
 
 use jl_bench::bench_threads;
 use jl_bench::experiments::{
-    bench_synthetic_report, bench_synthetic_report_parallel, bench_synthetic_report_real,
-    bench_synthetic_ring, bench_synthetic_traced, bench_synthetic_traced_parallel,
-    fig6_stream_report,
+    bench_synthetic_report, bench_synthetic_report_real, bench_synthetic_ring,
+    bench_synthetic_traced, fig6_stream_report,
 };
 use jl_core::Strategy;
 use jl_engine::RunReport;
@@ -234,35 +229,6 @@ fn main() {
             report,
         });
     }
-    {
-        // The DH cell on the parallel kernel: 8 worker shards of
-        // node-sharded conservative PDES. The report must be bit-identical
-        // to the serial cell — same fingerprint, same event count — so the
-        // only thing this row adds is the wall-clock column.
-        let t0 = Instant::now();
-        let report = bench_synthetic_report_parallel("DH", synth_scale, seed, 8);
-        let wall = t0.elapsed().as_secs_f64();
-        eprintln!(
-            "bench_report: DH@par8 wall={wall:.3}s sim_events={} ({:.0} ev/s)",
-            report.sim_events,
-            report.sim_events as f64 / wall.max(1e-9)
-        );
-        assert_eq!(
-            report.fingerprint, timings[0].report.fingerprint,
-            "parallel kernel changed the DH join result"
-        );
-        assert_eq!(
-            report.sim_events, timings[0].report.sim_events,
-            "parallel kernel changed the DH event count"
-        );
-        timings.push(Timing {
-            name: "DH",
-            backend: "par8",
-            wall_secs: wall,
-            report,
-        });
-    }
-
     // Telemetry overhead: the DH workload with the recorder off vs on,
     // measured back-to-back (adjacent, best-of-five after an untimed warm-up) so the ratio tracks
     // the marginal cost of span recording + the metrics snapshot rather
@@ -295,10 +261,7 @@ fn main() {
         );
         last_tel = tel;
     }
-    // Exported once, after the loop: rendering the ~20 MB trace JSON per
-    // rep would churn the allocator mid-measurement.
     let tel_events = last_tel.events.len();
-    let serial_trace = last_tel.to_chrome_json();
     let overhead = if telemetry_off_wall > 0.0 {
         telemetry_on_wall / telemetry_off_wall
     } else {
@@ -345,36 +308,6 @@ fn main() {
          {ring_retained} events retained)"
     );
 
-    // The traced DH cell once more on the parallel kernel: trace events
-    // journal through the commit walk, so the Chrome trace JSON must be
-    // byte-identical to the serial traced run — asserted here on every
-    // report, not just in the determinism suite.
-    {
-        let t0 = Instant::now();
-        let (report, tel) = bench_synthetic_traced_parallel("DH", synth_scale, seed, 8);
-        let wall = t0.elapsed().as_secs_f64();
-        eprintln!(
-            "bench_report: DH@par8+trace wall={wall:.3}s sim_events={} ({} trace events)",
-            report.sim_events,
-            tel.events.len()
-        );
-        assert_eq!(
-            report.fingerprint, timings[0].report.fingerprint,
-            "traced parallel kernel changed the DH join result"
-        );
-        assert_eq!(
-            tel.to_chrome_json(),
-            serial_trace,
-            "parallel kernel's trace diverged from the serial trace"
-        );
-        timings.push(Timing {
-            name: "DH",
-            backend: "par8-traced",
-            wall_secs: wall,
-            report,
-        });
-    }
-
     let total_wall: f64 = timings.iter().map(|t| t.wall_secs).sum();
     let total_events: u64 = timings.iter().map(|t| t.report.sim_events).sum();
     let total_eps = if total_wall > 0.0 {
@@ -392,7 +325,7 @@ fn main() {
 
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema\": \"jl-bench-kernel/v5\",\n");
+    out.push_str("  \"schema\": \"jl-bench-kernel/v6\",\n");
     out.push_str(&format!(
         "  \"mode\": \"{}\",\n",
         if quick { "quick" } else { "full" }

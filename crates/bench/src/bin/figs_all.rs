@@ -5,9 +5,6 @@
 //! `--trace <path>` (or `JL_TRACE=<path>`) additionally runs the canonical
 //! traced chaos cell and writes a Perfetto-loadable Chrome trace plus a
 //! metrics snapshot; the figure runs themselves stay telemetry-free.
-//! `--trace-shards N` (or `JL_TRACE_SHARDS=N`) hosts that traced run on
-//! the parallel kernel with N worker shards — the trace bytes are
-//! identical to the serial run's.
 
 use jl_bench::{fig11, fig5, fig6, fig7, fig8, fig9, fig_chaos, parse_args_full, write_trace};
 use jl_workloads::SyntheticSpec;
@@ -30,6 +27,6 @@ fn main() {
         println!("{}", fig_chaos(scale, seed).render());
     }
     if let Some(path) = args.trace {
-        write_trace(&path, scale, seed, args.trace_shards);
+        write_trace(&path, scale, seed);
     }
 }

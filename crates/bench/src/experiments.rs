@@ -15,9 +15,9 @@ use jl_engine::baselines::{run_reduce_side, ReduceSideKind};
 use jl_engine::plan::{JobPlan, JobTuple, StageSpec};
 use jl_engine::shuffle::run_shuffle_multijoin;
 use jl_engine::{
-    build_store, build_store_active, run_job, run_job_parallel, run_job_parallel_traced,
-    run_job_real_traced, run_job_traced, AutoscaleConfig, ClusterSpec, FeedMode, JobSpec,
-    MembershipConfig, MembershipEvent, OverloadConfig, RetryConfig, RunReport,
+    build_store, build_store_active, run_job, run_job_real_traced, run_job_traced, AutoscaleConfig,
+    ClusterSpec, FeedMode, JobSpec, MembershipConfig, MembershipEvent, OverloadConfig, RetryConfig,
+    RunReport,
 };
 use jl_simkit::fault::FaultPlan;
 use jl_simkit::rng::stream_rng;
@@ -176,15 +176,12 @@ enum CellBackend {
     Sim,
     /// The wall-clock backend ([`run_job_real_traced`]).
     Real,
-    /// The node-sharded parallel kernel with this many worker shards
-    /// ([`run_job_parallel_traced`]).
-    Par(usize),
 }
 
 /// [`run_synthetic_cell`] with a backend switch: the identical job hosted
-/// on the serial kernel, the wall-clock backend, or the parallel kernel —
-/// same construction, same policies, join results matching across all
-/// three (the parity and determinism suites pin it).
+/// on the simulator or the wall-clock backend — same construction, same
+/// policies, join results matching across both (the parity suite pins
+/// it).
 #[allow(clippy::too_many_arguments)]
 fn run_synthetic_cell_on(
     spec: &SyntheticSpec,
@@ -229,9 +226,6 @@ fn run_synthetic_cell_on(
     let (report, tel) = match backend {
         CellBackend::Sim => run_job_traced(&job, store, udfs, tuples, vec![]),
         CellBackend::Real => run_job_real_traced(&job, store, udfs, tuples, vec![]),
-        CellBackend::Par(threads) => {
-            run_job_parallel_traced(&job, store, udfs, tuples, vec![], threads)
-        }
     };
     if std::env::var("JL_DEBUG").is_ok() {
         eprintln!(
@@ -384,38 +378,6 @@ pub fn bench_synthetic_ring(
     (report, tel.expect("telemetry was requested"))
 }
 
-/// [`bench_synthetic_traced`] on the node-sharded parallel kernel with
-/// `threads` worker shards. Both the [`RunReport`] and the telemetry —
-/// Chrome trace JSON and metrics snapshot — are byte-identical to the
-/// serial traced run; `bench_report` and the determinism suite assert it.
-pub fn bench_synthetic_traced_parallel(
-    spec_name: &str,
-    tuple_scale: f64,
-    seed: u64,
-    threads: usize,
-) -> (RunReport, RunTelemetry) {
-    let mut spec = match spec_name {
-        "DH" => SyntheticSpec::dh(),
-        "CH" => SyntheticSpec::ch(),
-        "DCH" => SyntheticSpec::dch(),
-        other => panic!("unknown bench workload {other:?} (expected DH, CH or DCH)"),
-    };
-    spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
-    let (report, tel) = run_synthetic_cell_on(
-        &spec,
-        Strategy::Full,
-        1.0,
-        1,
-        None,
-        &synthetic_cluster(),
-        32 << 20,
-        seed,
-        Some(TelemetryConfig::default()),
-        CellBackend::Par(threads),
-    );
-    (report, tel.expect("telemetry was requested"))
-}
-
 /// The same pinned kernel workload as [`bench_synthetic_report`], run on
 /// the wall-clock backend. Wall time here is real elapsed time (the loop
 /// paces modeled events against the host clock), while the join
@@ -442,50 +404,6 @@ pub fn bench_synthetic_report_real(spec_name: &str, tuple_scale: f64, seed: u64)
         CellBackend::Real,
     )
     .0
-}
-
-/// The same pinned kernel workload as [`bench_synthetic_report`], run on
-/// the node-sharded parallel kernel with `threads` worker threads. The
-/// report — join fingerprint included — is bit-identical to the serial
-/// run for any thread count; `bench_report` and the determinism suite
-/// both assert it.
-pub fn bench_synthetic_report_parallel(
-    spec_name: &str,
-    tuple_scale: f64,
-    seed: u64,
-    threads: usize,
-) -> RunReport {
-    let mut spec = match spec_name {
-        "DH" => SyntheticSpec::dh(),
-        "CH" => SyntheticSpec::ch(),
-        "DCH" => SyntheticSpec::dch(),
-        other => panic!("unknown bench workload {other:?} (expected DH, CH or DCH)"),
-    };
-    spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
-    let cluster = synthetic_cluster();
-    let store = build_store(&cluster, vec![(spec.name.into(), spec.rows(1).collect())]);
-    let tuples = synthetic_tuples(&spec, 1.0, 1, seed);
-    let job = JobSpec {
-        cluster: cluster.clone(),
-        optimizer: optimizer_for(Strategy::Full, 32 << 20),
-        feed: FeedMode::Batch {
-            window: window_for(Strategy::Full, &cluster, tuples.len() / cluster.n_compute),
-        },
-        plan: JobPlan::single(0, UDF),
-        seed,
-        udf_cpu_hint: spec.udf_cpu.as_secs_f64(),
-        policy: None,
-        decision_sink: None,
-        faults: None,
-        retry: None,
-        telemetry: None,
-        overload: None,
-        shed_policy: None,
-        membership: None,
-        autoscale_policy: None,
-    };
-    let udfs = digest_udfs(spec.output_size as usize);
-    run_job_parallel(&job, store, udfs, tuples, vec![], threads)
 }
 
 /// Figure 8 (a: DH, b: CH, c: DCH): Hadoop-mode synthetic workloads,
@@ -965,15 +883,13 @@ pub fn run_chaos_report(
     mem_cache: u64,
     seed: u64,
 ) -> (RunReport, RunReport) {
-    let (healthy, chaos, _) =
-        run_chaos_cell(spec, strategy, z, cluster, mem_cache, seed, None, None);
+    let (healthy, chaos, _) = run_chaos_cell(spec, strategy, z, cluster, mem_cache, seed, None);
     (healthy, chaos)
 }
 
 /// The chaos cell with an optional telemetry recorder on the *chaos* run
 /// (the healthy calibration run stays untraced — it only sets the fault
 /// timeline). Shared by [`run_chaos_report`] and [`traced_chaos_run`].
-#[allow(clippy::too_many_arguments)]
 fn run_chaos_cell(
     spec: &SyntheticSpec,
     strategy: Strategy,
@@ -982,7 +898,6 @@ fn run_chaos_cell(
     mem_cache: u64,
     seed: u64,
     telemetry: Option<TelemetryConfig>,
-    threads: Option<usize>,
 ) -> (RunReport, RunReport, Option<RunTelemetry>) {
     let healthy = run_synthetic_report(spec, strategy, z, 1, None, cluster, mem_cache, seed);
     let store = build_store(cluster, vec![(spec.name.into(), spec.rows(1).collect())]);
@@ -1007,10 +922,7 @@ fn run_chaos_cell(
         autoscale_policy: None,
     };
     let udfs = digest_udfs(spec.output_size as usize);
-    let (chaos, tel) = match threads {
-        None => run_job_traced(&job, store, udfs, tuples, vec![]),
-        Some(n) => run_job_parallel_traced(&job, store, udfs, tuples, vec![], n),
-    };
+    let (chaos, tel) = run_job_traced(&job, store, udfs, tuples, vec![]);
     if std::env::var("JL_DEBUG").is_ok() {
         eprintln!(
             "chaos {} {}: healthy={:?} chaos={:?} retries={} failovers={} gave_up={} dropped={} p99={}",
@@ -1034,8 +946,7 @@ fn run_chaos_cell(
 /// request lifecycles, placement decisions, cache activity, and the
 /// crash/straggler/lossy-link fault path with its retries and failovers.
 /// One single simulation cell, so its trace is byte-identical at any
-/// `--threads` count — and, via [`traced_chaos_run_parallel`], at any
-/// shard count (the determinism suite pins both).
+/// `--threads` count (the determinism suite pins this).
 pub fn traced_chaos_run(tuple_scale: f64, seed: u64) -> (RunReport, RunTelemetry) {
     let mut spec = SyntheticSpec::dh();
     spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
@@ -1047,45 +958,19 @@ pub fn traced_chaos_run(tuple_scale: f64, seed: u64) -> (RunReport, RunTelemetry
         32 << 20,
         seed,
         Some(TelemetryConfig::default()),
-        None,
     );
     (chaos, tel.expect("telemetry was requested"))
 }
 
-/// [`traced_chaos_run`] hosted on the node-sharded parallel kernel with
-/// `threads` worker shards. The trace and metrics snapshot are
-/// byte-identical to the serial run's; the determinism suite and the CI
-/// telemetry-smoke job both exercise this entry point.
-pub fn traced_chaos_run_parallel(
-    tuple_scale: f64,
-    seed: u64,
-    threads: usize,
-) -> (RunReport, RunTelemetry) {
-    let mut spec = SyntheticSpec::dh();
-    spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
-    let (_healthy, chaos, tel) = run_chaos_cell(
-        &spec,
-        Strategy::Full,
-        1.0,
-        &synthetic_cluster(),
-        32 << 20,
-        seed,
-        Some(TelemetryConfig::default()),
-        Some(threads),
-    );
-    (chaos, tel.expect("telemetry was requested"))
-}
-
-/// [`traced_chaos_run`] / [`traced_chaos_run_parallel`] with an explicit
-/// recorder configuration. The determinism suite uses this to prove that
-/// arming the flight ring is a pure tee: the run report and the buffered
-/// trace/metrics bytes are identical with and without it, serial and at
-/// any shard count, and the ring's tail stitches into a valid dump.
+/// [`traced_chaos_run`] with an explicit recorder configuration. The
+/// determinism suite uses this to prove that arming the flight ring is a
+/// pure tee: the run report and the buffered trace/metrics bytes are
+/// identical with and without it, and the ring's tail stitches into a
+/// valid dump.
 pub fn traced_chaos_run_with(
     tuple_scale: f64,
     seed: u64,
     telemetry: TelemetryConfig,
-    threads: Option<usize>,
 ) -> (RunReport, RunTelemetry) {
     let mut spec = SyntheticSpec::dh();
     spec.n_tuples = ((spec.n_tuples as f64 * tuple_scale) as u64).max(1000);
@@ -1097,7 +982,6 @@ pub fn traced_chaos_run_with(
         32 << 20,
         seed,
         Some(telemetry),
-        threads,
     );
     (chaos, tel.expect("telemetry was requested"))
 }

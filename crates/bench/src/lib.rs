@@ -20,8 +20,8 @@ pub use experiments::{
     bench_threads, chaos_fault_plan, chaos_retry, check_elastic_invariants, fig11, fig5, fig6,
     fig7, fig8, fig9, fig_chaos, fig_elastic, fig_overload, overload_bounded_config,
     run_chaos_churn_report, run_chaos_report, run_elastic_stream, run_grid, run_overload_stream,
-    traced_chaos_run, traced_chaos_run_parallel, traced_chaos_run_with, ElasticCell, OverloadCell,
-    CHAOS_STRATEGIES, ELASTIC_PEAK_LOAD, ELASTIC_TROUGH_LOAD, SKEWS,
+    traced_chaos_run, traced_chaos_run_with, ElasticCell, OverloadCell, CHAOS_STRATEGIES,
+    ELASTIC_PEAK_LOAD, ELASTIC_TROUGH_LOAD, SKEWS,
 };
 pub use observe::{ObserveConfig, ServeLive, ServeShared};
 pub use output::FigTable;
@@ -37,11 +37,6 @@ pub struct BenchArgs {
     /// run ([`traced_chaos_run`]), from `--trace <path>` or the `JL_TRACE`
     /// environment variable. `None` disables telemetry entirely.
     pub trace: Option<std::path::PathBuf>,
-    /// Worker-shard count for the traced run, from `--trace-shards N` or
-    /// `JL_TRACE_SHARDS`. `None` hosts it on the serial kernel; `Some(n)`
-    /// uses the parallel kernel ([`traced_chaos_run_parallel`]) — the
-    /// trace bytes are identical either way.
-    pub trace_shards: Option<usize>,
 }
 
 /// Parse a `--scale X` style argument list: returns (scale, seed).
@@ -59,19 +54,13 @@ pub fn parse_args(default_scale: f64) -> (f64, u64) {
 /// [`parse_args`] plus the tracing flags: `--trace <path>` (or the
 /// `JL_TRACE` environment variable, the flag winning when both are set)
 /// selects a Chrome trace-event output file; the metrics snapshot lands
-/// next to it with a `.metrics.json` extension. `--trace-shards N` (or
-/// `JL_TRACE_SHARDS`) hosts the traced run on the parallel kernel with
-/// `N` worker shards instead of the serial kernel.
+/// next to it with a `.metrics.json` extension.
 pub fn parse_args_full(default_scale: f64) -> BenchArgs {
     let mut scale = default_scale;
     let mut seed = 42u64;
     let mut trace: Option<std::path::PathBuf> = std::env::var_os("JL_TRACE")
         .filter(|v| !v.is_empty())
         .map(Into::into);
-    let mut trace_shards: Option<usize> = std::env::var("JL_TRACE_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1);
     let args: Vec<String> = std::env::args().collect();
     let mut i = 1;
     while i < args.len() {
@@ -88,10 +77,6 @@ pub fn parse_args_full(default_scale: f64) -> BenchArgs {
                 trace = Some(args[i + 1].clone().into());
                 i += 2;
             }
-            "--trace-shards" if i + 1 < args.len() => {
-                trace_shards = args[i + 1].parse().ok().filter(|&n| n >= 1);
-                i += 2;
-            }
             "--threads" if i + 1 < args.len() => {
                 if let Ok(n) = args[i + 1].parse::<usize>() {
                     if n >= 1 {
@@ -103,37 +88,23 @@ pub fn parse_args_full(default_scale: f64) -> BenchArgs {
             _ => i += 1,
         }
     }
-    BenchArgs {
-        scale,
-        seed,
-        trace,
-        trace_shards,
-    }
+    BenchArgs { scale, seed, trace }
 }
 
 /// Run the canonical traced chaos cell and write its Chrome trace-event
 /// JSON to `path` and the metrics snapshot to `path` with a
-/// `.metrics.json` extension. `shards` picks the hosting kernel: `None`
-/// runs serially, `Some(n)` runs on the parallel kernel with `n` worker
-/// shards — the output bytes are identical. Figure binaries call this
-/// when `--trace` / `JL_TRACE` is set; load the trace in Perfetto
-/// (ui.perfetto.dev) or `chrome://tracing`.
-pub fn write_trace(path: &std::path::Path, scale: f64, seed: u64, shards: Option<usize>) {
-    let (report, tel) = match shards {
-        None => traced_chaos_run(scale, seed),
-        Some(n) => traced_chaos_run_parallel(scale, seed, n),
-    };
+/// `.metrics.json` extension. Figure binaries call this when `--trace` /
+/// `JL_TRACE` is set; load the trace in Perfetto (ui.perfetto.dev) or
+/// `chrome://tracing`.
+pub fn write_trace(path: &std::path::Path, scale: f64, seed: u64) {
+    let (report, tel) = traced_chaos_run(scale, seed);
     std::fs::write(path, tel.to_chrome_json())
         .unwrap_or_else(|e| panic!("cannot write trace {}: {e}", path.display()));
     let metrics_path = path.with_extension("metrics.json");
     std::fs::write(&metrics_path, tel.metrics_json())
         .unwrap_or_else(|e| panic!("cannot write metrics {}: {e}", metrics_path.display()));
-    let kernel = match shards {
-        None => "serial".to_string(),
-        Some(n) => format!("par{n}"),
-    };
     eprintln!(
-        "trace [{kernel}]: {} events -> {} (metrics -> {}); chaos run: retries={} failovers={} dropped={}",
+        "trace: {} events -> {} (metrics -> {}); chaos run: retries={} failovers={} dropped={}",
         tel.events.len(),
         path.display(),
         metrics_path.display(),
@@ -150,6 +121,6 @@ pub fn write_trace(path: &std::path::Path, scale: f64, seed: u64, shards: Option
 pub fn write_trace_if_requested(scale: f64, seed: u64) {
     let args = parse_args_full(scale);
     if let Some(path) = args.trace {
-        write_trace(&path, scale, seed, args.trace_shards);
+        write_trace(&path, scale, seed);
     }
 }

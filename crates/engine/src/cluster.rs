@@ -305,16 +305,11 @@ impl Node for ClusterNode {
     fn on_fault(&mut self, kind: FaultKind, ctx: &mut Ctx<'_, Msg>) {
         self.handle_fault(kind, ctx);
     }
-
-    fn may_stop(&self) -> bool {
-        // Only the controller ever calls `ctx.stop()`; declaring it here
-        // lets `Sim::run_parallel` pin the controller to the stop shard.
-        matches!(self, ClusterNode::Controller(_))
-    }
 }
 
-// `Sim::run_parallel` moves node state across worker threads; this pin
-// catches any non-`Send` field (e.g. an `Rc` handle) sneaking back in.
+// Node state stays `Send`, so a whole cluster can be handed to another
+// thread; this pin catches any non-`Send` field (e.g. an `Rc` handle)
+// sneaking back in.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<ClusterNode>();

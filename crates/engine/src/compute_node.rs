@@ -317,30 +317,20 @@ impl ComputeNode {
         self.decision_stage = Some(stage);
     }
 
-    /// Record one trace event: directly under final-order execution,
-    /// deferred through the shard journal (commit-walk replay in exact
-    /// serial order) when the callback is speculative. The closure only
-    /// runs when a recorder is attached, so untraced runs pay one branch.
+    /// Record one trace event. The closure only runs when a recorder is
+    /// attached, so untraced runs pay one branch.
     #[inline]
     fn tel_record<C: RuntimeCtx<Msg>>(&self, ctx: &mut C, mk: impl FnOnce(SimTime) -> TraceEvent) {
         let Some(t) = &self.tel else { return };
-        let ev = mk(ctx.now());
-        if ctx.is_speculative() {
-            let t = t.clone();
-            ctx.defer(Box::new(move || t.borrow_mut().record(ev)));
-        } else {
-            t.borrow_mut().record(ev);
-        }
+        t.borrow_mut().record(mk(ctx.now()));
     }
 
     /// [`ComputeNode::tel_record`] for the hottest emitters, from event
-    /// parts: the direct branch records allocation-free (no ~220-byte
-    /// `TraceEvent` built just to be unpacked), the speculative branch
-    /// moves the parts into the journaled closure.
+    /// parts: records allocation-free (no ~220-byte `TraceEvent` built just
+    /// to be unpacked).
     #[inline]
-    fn tel_record_parts<C: RuntimeCtx<Msg>, const N: usize>(
+    fn tel_record_parts<const N: usize>(
         &self,
-        ctx: &mut C,
         track: Track,
         name: &'static str,
         start: SimTime,
@@ -348,26 +338,15 @@ impl ComputeNode {
         args: [Arg; N],
     ) {
         let Some(t) = &self.tel else { return };
-        let node = self.tel_node;
-        if ctx.is_speculative() {
-            let t = t.clone();
-            ctx.defer(Box::new(move || {
-                t.borrow_mut()
-                    .record_parts(node, track, name, start, dur, &args)
-            }));
-        } else {
-            t.borrow_mut()
-                .record_parts(node, track, name, start, dur, &args);
-        }
+        t.borrow_mut()
+            .record_parts(self.tel_node, track, name, start, dur, &args);
     }
 
     /// Drain decisions captured by the staged sink since the last drain
-    /// and record them — directly under final-order execution, deferred
-    /// through the shard journal when speculative (traced runs only; the
-    /// stage is absent elsewhere, and the no-decision fast path is one
-    /// atomic load). Must run right after any `self.rt` call that can
-    /// fire the sink, *before* this node records anything else, so the
-    /// decision lands at the same trace position on every kernel.
+    /// and record them (traced runs only; the stage is absent elsewhere,
+    /// and the no-decision fast path is one atomic load). Must run right
+    /// after any `self.rt` call that can fire the sink, *before* this node
+    /// records anything else, so the decision lands at its trace position.
     fn drain_decisions<C: RuntimeCtx<Msg>>(&mut self, ctx: &mut C) {
         let Some(stage) = &self.decision_stage else {
             return;
@@ -376,26 +355,12 @@ impl ComputeNode {
             return;
         }
         let Some(t) = &self.tel else { return };
-        let node = self.tel_node;
-        let now = ctx.now();
-        if ctx.is_speculative() {
-            // The batch must outlive this callback to journal through the
-            // commit walk, so take ownership and defer the replay.
-            let Some(batch) = stage.take() else { return };
-            let t = t.clone();
-            ctx.defer(Box::new(move || {
-                crate::telemetry::replay_decisions(&t, node, now, batch);
-            }));
-        } else {
-            stage.replay_serial(t, node, now);
-        }
+        stage.drain_into(t, self.tel_node, ctx.now());
     }
 
     /// Track the in-pipeline tuple count as a time-weighted gauge. The
     /// gauge is node-local state (like the latency histograms), updated in
-    /// place on every sample — no registry lookup, no recorder lock, and
-    /// under the parallel kernel no deferral, since only this node writes
-    /// it and its callbacks execute in timestamp order on every kernel.
+    /// place on every sample — no registry lookup, no recorder lock.
     /// The runner adopts the finished gauge into the registry at snapshot.
     fn tel_outstanding<C: RuntimeCtx<Msg>>(&mut self, ctx: &mut C) {
         if self.tel.is_none() {
@@ -956,7 +921,6 @@ impl ComputeNode {
             if let Some(t0) = self.started_at.remove(&seq) {
                 self.latency.record(ctx.now().since(t0));
                 self.tel_record_parts(
-                    ctx,
                     Track::Lifecycle,
                     "tuple",
                     t0,
@@ -1070,7 +1034,6 @@ impl ComputeNode {
                     if let Some(t0) = self.sent_at.remove(&item.req_id) {
                         self.remote_lat.record(ctx.now().since(t0));
                         self.tel_record_parts(
-                            ctx,
                             Track::Wire,
                             "request",
                             t0,

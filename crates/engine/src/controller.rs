@@ -81,7 +81,7 @@ pub struct Controller {
     /// Data nodes mid-drain (still active, being emptied).
     draining: Vec<bool>,
     /// Runtime ownership: `(table, region) -> data node`. A `BTreeMap` so
-    /// planning iterates in deterministic order on every kernel.
+    /// planning iterates in deterministic order on every backend.
     owner_of: BTreeMap<(TableId, usize), usize>,
     /// Catalog epoch, bumped once per completed migration.
     epoch: u64,
@@ -163,20 +163,12 @@ impl Controller {
         self.tel_node = node;
     }
 
-    /// Record one trace event: directly under final-order execution,
-    /// deferred through the shard journal when the callback is
-    /// speculative (the controller is pinned to the stop shard, but the
-    /// contract is cheap to honor).
+    /// Record one trace event. The closure only runs when a recorder is
+    /// attached, so untraced runs pay one branch.
     #[inline]
     fn tel_record<C: RuntimeCtx<Msg>>(&self, ctx: &mut C, mk: impl FnOnce(SimTime) -> TraceEvent) {
         let Some(t) = &self.tel else { return };
-        let ev = mk(ctx.now());
-        if ctx.is_speculative() {
-            let t = t.clone();
-            ctx.defer(Box::new(move || t.borrow_mut().record(ev)));
-        } else {
-            t.borrow_mut().record(ev);
-        }
+        t.borrow_mut().record(mk(ctx.now()));
     }
 
     /// Total tuples completed across the cluster.

@@ -282,19 +282,12 @@ impl DataNode {
         self.tel_node = node;
     }
 
-    /// Record one trace event: directly under final-order execution,
-    /// deferred through the shard journal (commit-walk replay in exact
-    /// serial order) when the callback is speculative.
+    /// Record one trace event. The closure only runs when a recorder is
+    /// attached, so untraced runs pay one branch.
     #[inline]
     fn tel_record<C: RuntimeCtx<Msg>>(&self, ctx: &mut C, mk: impl FnOnce(SimTime) -> TraceEvent) {
         let Some(t) = &self.tel else { return };
-        let ev = mk(ctx.now());
-        if ctx.is_speculative() {
-            let t = t.clone();
-            ctx.defer(Box::new(move || t.borrow_mut().record(ev)));
-        } else {
-            t.borrow_mut().record(ev);
-        }
+        t.borrow_mut().record(mk(ctx.now()));
     }
 
     /// Register that this node hosts a failover replica of data node
@@ -423,9 +416,8 @@ impl DataNode {
 
     /// Track the admitted-item queue depth as a time-weighted gauge. The
     /// gauge is node-local state updated in place — no registry lookup, no
-    /// recorder lock, no speculative deferral (only this node writes it,
-    /// and its callbacks execute in timestamp order on every kernel). The
-    /// runner adopts the finished gauge into the registry at snapshot.
+    /// recorder lock. The runner adopts the finished gauge into the
+    /// registry at snapshot.
     fn tel_queue_depth<C: RuntimeCtx<Msg>>(&mut self, ctx: &mut C) {
         if self.tel.is_none() {
             return;

@@ -37,9 +37,9 @@ pub use config::{
 pub use plan::{JobPlan, JobTuple, StageSpec};
 pub use runner::{
     build_cluster, build_real_runtime, build_store, build_store_active, gather_report,
-    process_names, run_job, run_job_parallel, run_job_parallel_traced, run_job_real,
-    run_job_real_traced, run_job_traced, snapshot_delta, unwrap_telemetry, AutoscaleFactory,
-    BuiltCluster, ClusterHost, JobSpec, PolicyFactory, RunReport, ShedFactory, SinkFactory,
+    process_names, run_job, run_job_real, run_job_real_traced, run_job_traced, snapshot_delta,
+    unwrap_telemetry, AutoscaleFactory, BuiltCluster, ClusterHost, JobSpec, PolicyFactory,
+    RunReport, ShedFactory, SinkFactory,
 };
 pub use shuffle::run_shuffle_multijoin;
 pub use telemetry::EngineProbe;

@@ -102,10 +102,9 @@ impl SimProbe for EngineProbe {
     }
 }
 
-/// One decision captured by the staged tee, pending replay. Carries the
+/// One decision captured by the staged tee, pending recording. Carries the
 /// event fields minus the timestamp: decisions are stamped with the
-/// callback's sim time when the node drains the stage — which is the
-/// callback time the old clock-publishing tee used, since sim time never
+/// callback's time when the node drains the stage, since time never
 /// advances mid-callback.
 pub(crate) struct StagedDecision {
     name: &'static str,
@@ -116,11 +115,13 @@ pub(crate) struct StagedDecision {
 }
 
 /// Staging buffer between one compute node and its decision sink. The
-/// node polls the stage after every optimizer call that can decide; the
-/// `nonempty` flag keeps that poll to one relaxed atomic load on the
-/// (overwhelmingly common) no-decision path, and the mutex — per-node,
-/// only ever taken from the thread currently running the node — guards
-/// the rare push/drain.
+/// sink lives inside the compute runtime, which has no clock, so it stages
+/// each decision and the node stamps and records it. The node polls the
+/// stage after every optimizer call that can decide; the `nonempty` flag
+/// keeps that poll to one atomic load on the (overwhelmingly common)
+/// no-decision path, and the mutex — per-node, only ever taken from the
+/// thread currently running the node — makes the stage shareable with the
+/// `Send` sink and guards the rare push/drain.
 #[derive(Default)]
 pub(crate) struct DecisionStage {
     nonempty: AtomicBool,
@@ -140,29 +141,9 @@ impl DecisionStage {
         !self.nonempty.load(Ordering::Acquire)
     }
 
-    /// Drain everything staged since the last take, or `None`. Allocates
-    /// the returned batch; used only on the speculative (parallel-kernel)
-    /// path, where the batch must outlive the callback to journal through
-    /// the commit walk.
-    #[inline]
-    pub(crate) fn take(&self) -> Option<Vec<StagedDecision>> {
-        if self.is_idle() {
-            return None;
-        }
-        let mut g = self.buf.lock().unwrap_or_else(|p| p.into_inner());
-        self.nonempty.store(false, Ordering::Relaxed);
-        if g.is_empty() {
-            None
-        } else {
-            Some(std::mem::take(&mut *g))
-        }
-    }
-
-    /// Record everything staged straight into `tel`, reusing the staging
-    /// buffer. The serial-kernel drain: no speculation means no deferral,
-    /// so nothing needs to own the batch and the per-drain `Vec`
-    /// allocation of [`DecisionStage::take`] is skipped entirely.
-    pub(crate) fn replay_serial(&self, tel: &TelemetryHandle, node: u32, now: SimTime) {
+    /// Record everything staged into `tel`, stamped `now`, reusing the
+    /// staging buffer.
+    pub(crate) fn drain_into(&self, tel: &TelemetryHandle, node: u32, now: SimTime) {
         let mut g = self.buf.lock().unwrap_or_else(|p| p.into_inner());
         self.nonempty.store(false, Ordering::Relaxed);
         let mut t = tel.borrow_mut();
@@ -173,15 +154,12 @@ impl DecisionStage {
 }
 
 /// Build the decision sink for one compute node of a traced run: every
-/// [`DecisionEvent`] is staged (the sink lives inside the compute runtime,
-/// which has no clock and — under the parallel kernel — runs during
-/// speculative shard execution where touching the shared recorder would
-/// race), then flows on to the user's sink, if any. The node drains the
-/// stage after each optimizer call: recording directly under the serial
-/// kernel, or deferring [`replay_decisions`] through the shard journal so
-/// it runs on the coordinator at commit. Either way the recorded bytes
-/// are identical — this is how tracing observes the decision plane
-/// without changing its golden-tested event shape.
+/// [`DecisionEvent`] is staged in a [`DecisionStage`] (the sink lives
+/// inside the compute runtime, which has no clock), then flows on to the
+/// user's sink, if any. The node drains the stage after each optimizer
+/// call and records the decisions at the callback's time — this is how
+/// tracing observes the decision plane without changing its golden-tested
+/// event shape.
 pub(crate) fn decision_tee_staged(
     stage: Arc<DecisionStage>,
     user: Option<Box<dyn DecisionSink<EKey>>>,
@@ -203,22 +181,6 @@ pub(crate) fn decision_tee_staged(
             u.on_decision(ev);
         }
     }))
-}
-
-/// Record a drained batch of staged decisions. Byte-identical to the
-/// serial [`DecisionStage::replay_serial`] drain — both funnel through
-/// [`record_decision`] — which is what lets the parallel kernel journal
-/// the batch and replay it at commit without changing the trace.
-pub(crate) fn replay_decisions(
-    tel: &TelemetryHandle,
-    node: u32,
-    now: SimTime,
-    batch: Vec<StagedDecision>,
-) {
-    let mut t = tel.borrow_mut();
-    for d in batch {
-        record_decision(&mut t, node, now, d);
-    }
 }
 
 /// Record one staged decision: the instant event on the decision track

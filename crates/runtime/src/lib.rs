@@ -6,11 +6,12 @@
 //! a trait, [`RuntimeCtx`], so the same actor code runs against two
 //! backends:
 //!
-//! * **Simulated** — [`jl_simkit::sim::Ctx`] implements [`RuntimeCtx`] by
-//!   `#[inline]` delegation. The simulator stays the deterministic oracle:
-//!   the adapter adds no state, no allocation, and no branches, so the sim
-//!   backend is byte-identical to calling the kernel directly (the 1/2/8
-//!   thread determinism digests and golden decision traces pin this).
+//! * **Simulated** — [`jl_simkit::sim::Ctx`], a plain borrow of the
+//!   single-threaded kernel, implements [`RuntimeCtx`] by `#[inline]`
+//!   delegation. The simulator stays the deterministic oracle: the adapter
+//!   adds no state, no allocation, and no branches, so the sim backend is
+//!   byte-identical to calling the kernel directly (the golden decision
+//!   traces and the `run_grid` determinism digests pin this).
 //! * **Real** — [`real::RealRuntime`] runs the same event loop against the
 //!   wall clock: one OS thread owns the nodes and a monotonic clock
 //!   ([`std::time::Instant`]) anchored at run start, while any number of
@@ -21,8 +22,9 @@
 //!
 //! Dispatch is static on both sides: actors are generic over
 //! `C: RuntimeCtx<M>`, the node set is a single concrete enum behind
-//! [`RuntimeNode`], and neither backend boxes per-event state. The hot
-//! path of the sim backend is exactly the seed's hot path.
+//! [`RuntimeNode`], and neither backend boxes per-event state. Both
+//! backends run callbacks one at a time in event order, so actors record
+//! side effects such as trace events directly.
 //!
 //! What each backend guarantees:
 //!
@@ -109,22 +111,6 @@ pub trait RuntimeCtx<M> {
 
     /// Request that the run stop after the current callback returns.
     fn stop(&mut self);
-
-    /// Whether this callback is executing speculatively (a parallel-kernel
-    /// shard). Both the serial simulator and the real backend run
-    /// callbacks in final order, so the default is `false`.
-    fn is_speculative(&self) -> bool {
-        false
-    }
-
-    /// Run a side effect in exact global serial order: immediately on
-    /// backends that execute in final order (the default), journaled for
-    /// commit-walk replay on the speculative parallel kernel. Actors route
-    /// trace recording and shared-registry updates through this so traced
-    /// parallel runs replay them byte-identically to serial.
-    fn defer(&mut self, f: Box<dyn FnOnce() + Send>) {
-        f();
-    }
 }
 
 impl<'a, M> RuntimeCtx<M> for Ctx<'a, M> {
@@ -191,16 +177,6 @@ impl<'a, M> RuntimeCtx<M> for Ctx<'a, M> {
     #[inline]
     fn stop(&mut self) {
         Ctx::stop(self)
-    }
-
-    #[inline]
-    fn is_speculative(&self) -> bool {
-        Ctx::is_speculative(self)
-    }
-
-    #[inline]
-    fn defer(&mut self, f: Box<dyn FnOnce() + Send>) {
-        Ctx::defer(self, f)
     }
 }
 

@@ -13,11 +13,9 @@
 //! [`FifoResource`](crate::resource::FifoResource)s; nodes then schedule
 //! messages or timers at those instants.
 //!
-//! Two execution modes share this kernel: the serial loop below, and the
-//! deterministic node-sharded parallel loop in [`crate::par`]
-//! (`Sim::run_parallel`), which produces bit-identical results via
-//! conservative-lookahead epochs. [`Ctx`] is a thin enum over the two
-//! backends so node code is oblivious to the mode.
+//! The kernel is single-threaded: one loop owns the queue, the resources and
+//! every node, and [`Ctx`] borrows it for the duration of one callback.
+//! Independent simulations parallelise by running on separate threads.
 
 use std::collections::BTreeMap;
 
@@ -58,13 +56,7 @@ pub trait Node {
     /// touches them.
     fn on_fault(&mut self, _kind: FaultKind, _ctx: &mut Ctx<'_, Self::Msg>) {}
 
-    /// Declare whether this node may ever call [`Ctx::stop`]. The serial
-    /// loop ignores this; [`Sim::run_parallel`] executes events of
-    /// stop-capable nodes on the coordinating thread *before* the sharded
-    /// wave of each epoch, so a stop request establishes the exact
-    /// serial-order watermark past which no other shard executes. A node
-    /// that calls `stop` without declaring itself here panics loudly under
-    /// the parallel kernel (and is unaffected in serial runs).
+    /// Whether this node may call [`Ctx::stop`]; the kernel does not read it.
     fn may_stop(&self) -> bool {
         false
     }
@@ -96,9 +88,7 @@ impl Default for NodeSpec {
 /// Network-wide parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct NetConfig {
-    /// One-way propagation + protocol latency per message. Also the
-    /// conservative-lookahead window of the parallel kernel: no cross-node
-    /// message can be delivered sooner than `latency` after it is sent.
+    /// One-way propagation + protocol latency per message.
     pub latency: SimDuration,
 }
 
@@ -110,7 +100,7 @@ impl Default for NetConfig {
     }
 }
 
-pub(crate) enum EventKind<M> {
+enum EventKind<M> {
     Deliver {
         from: NodeId,
         to: NodeId,
@@ -152,43 +142,37 @@ pub struct NetTotals {
 
 /// Everything in the simulation except the nodes themselves; nodes interact
 /// with it through [`Ctx`].
-pub(crate) struct SimInner<M> {
-    pub(crate) time: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) queue: CalendarQueue<EventKind<M>>,
-    pub(crate) resources: Vec<NodeResources>,
-    pub(crate) rngs: Vec<StdRng>,
-    pub(crate) net: NetConfig,
-    pub(crate) totals: NetTotals,
-    pub(crate) events_processed: u64,
-    pub(crate) stopped: bool,
-    pub(crate) faults: Option<FaultPlan>,
+struct SimInner<M> {
+    time: SimTime,
+    seq: u64,
+    queue: CalendarQueue<EventKind<M>>,
+    resources: Vec<NodeResources>,
+    rngs: Vec<StdRng>,
+    net: NetConfig,
+    totals: NetTotals,
+    events_processed: u64,
+    stopped: bool,
+    faults: Option<FaultPlan>,
     /// Monotone per-send counter feeding the fault plan's deterministic
     /// link-drop coin. Advances once per cross-node send while a plan is
     /// installed, so the coin sequence depends only on the (deterministic)
-    /// event order, never on host parallelism.
-    pub(crate) fault_sends: u64,
+    /// event order.
+    fault_sends: u64,
     /// Per-link drop/delay accounting; populated only at fault-plan sites,
     /// so healthy runs never touch it.
-    pub(crate) links: BTreeMap<(NodeId, NodeId), LinkStats>,
-    pub(crate) probe: Option<Box<dyn SimProbe>>,
+    links: BTreeMap<(NodeId, NodeId), LinkStats>,
+    probe: Option<Box<dyn SimProbe>>,
 }
 
 impl<M> SimInner<M> {
-    pub(crate) fn push(&mut self, time: SimTime, kind: EventKind<M>) {
+    fn push(&mut self, time: SimTime, kind: EventKind<M>) {
         let time = time.max(self.time);
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(time, seq, kind);
     }
 
-    pub(crate) fn transfer(
-        &mut self,
-        ready: SimTime,
-        from: NodeId,
-        to: NodeId,
-        bytes: u64,
-    ) -> SimTime {
+    fn transfer(&mut self, ready: SimTime, from: NodeId, to: NodeId, bytes: u64) -> SimTime {
         if from == to {
             // Local hand-off: no NIC, no latency.
             return ready;
@@ -232,7 +216,7 @@ impl<M> SimInner<M> {
     /// delivery. With a fault plan installed, a lossy link may eat the
     /// message *after* it occupied the wire (loss is charged like a sent
     /// packet); the returned instant is when it would have arrived.
-    pub(crate) fn send_message(
+    fn send_message(
         &mut self,
         ready: SimTime,
         from: NodeId,
@@ -260,36 +244,21 @@ impl<M> SimInner<M> {
     }
 }
 
-/// Which execution backend a [`Ctx`] is bound to: the serial kernel
-/// (direct access to the whole simulation) or one shard of the parallel
-/// kernel (node-local state plus an effect journal replayed in serial
-/// order at the epoch commit).
-pub(crate) enum CtxBackend<'a, M> {
-    Serial(&'a mut SimInner<M>),
-    Shard(&'a mut crate::par::ShardCtx<M>),
-}
-
 /// Handle through which a node interacts with the simulation while one of
 /// its callbacks is running.
 pub struct Ctx<'a, M> {
-    pub(crate) backend: CtxBackend<'a, M>,
-    pub(crate) self_id: NodeId,
+    inner: &'a mut SimInner<M>,
+    self_id: NodeId,
 }
 
 impl<'a, M> Ctx<'a, M> {
-    pub(crate) fn serial(inner: &'a mut SimInner<M>, self_id: NodeId) -> Self {
-        Ctx {
-            backend: CtxBackend::Serial(inner),
-            self_id,
-        }
+    fn new(inner: &'a mut SimInner<M>, self_id: NodeId) -> Self {
+        Ctx { inner, self_id }
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        match &self.backend {
-            CtxBackend::Serial(inner) => inner.time,
-            CtxBackend::Shard(shard) => shard.time,
-        }
+        self.inner.time
     }
 
     /// The node this callback belongs to.
@@ -300,28 +269,15 @@ impl<'a, M> Ctx<'a, M> {
     /// Send `msg` of `bytes` payload to `to`, leaving now. Returns the
     /// delivery time. The transfer occupies this node's outbound NIC and the
     /// receiver's inbound NIC; self-sends bypass the network.
-    ///
-    /// Under [`Sim::run_parallel`] the receiver's inbound NIC is charged at
-    /// the epoch commit (in exact serial order), so the returned instant for
-    /// a *cross-node* send is a lower bound that excludes inbound queueing.
-    /// The engine never branches on this value; code that must not see the
-    /// difference belongs on the serial kernel.
     pub fn send(&mut self, to: NodeId, msg: M, bytes: u64) -> SimTime {
         self.send_ready_at(self.now(), to, msg, bytes)
     }
 
     /// Send `msg`, but the payload only becomes available at `ready`
-    /// (e.g. after a CPU or disk completion). Returns the delivery time
-    /// (see [`Ctx::send`] for the parallel-kernel caveat).
+    /// (e.g. after a CPU or disk completion). Returns the delivery time.
     pub fn send_ready_at(&mut self, ready: SimTime, to: NodeId, msg: M, bytes: u64) -> SimTime {
-        let self_id = self.self_id;
-        match &mut self.backend {
-            CtxBackend::Serial(inner) => {
-                let ready = ready.max(inner.time);
-                inner.send_message(ready, self_id, to, msg, bytes)
-            }
-            CtxBackend::Shard(shard) => shard.send_ready_at(self_id, ready, to, msg, bytes),
-        }
+        let ready = ready.max(self.inner.time);
+        self.inner.send_message(ready, self.self_id, to, msg, bytes)
     }
 
     /// Charge `service` time on one of this node's resources, becoming ready
@@ -333,23 +289,19 @@ impl<'a, M> Ctx<'a, M> {
         service: SimDuration,
     ) -> Grant {
         let self_id = self.self_id;
-        match &mut self.backend {
-            CtxBackend::Serial(inner) => {
-                let ready = ready.max(inner.time);
-                let service = match &inner.faults {
-                    Some(plan) => plan.scale_service(self_id, inner.time, service),
-                    None => service,
-                };
-                let grant = inner.resources[self_id]
-                    .get_mut(kind)
-                    .submit(ready, service);
-                if let Some(probe) = &mut inner.probe {
-                    probe.on_grant(self_id, kind, ready, service, grant);
-                }
-                grant
-            }
-            CtxBackend::Shard(shard) => shard.use_resource(self_id, kind, ready, service),
+        let inner = &mut *self.inner;
+        let ready = ready.max(inner.time);
+        let service = match &inner.faults {
+            Some(plan) => plan.scale_service(self_id, inner.time, service),
+            None => service,
+        };
+        let grant = inner.resources[self_id]
+            .get_mut(kind)
+            .submit(ready, service);
+        if let Some(probe) = &mut inner.probe {
+            probe.on_grant(self_id, kind, ready, service, grant);
         }
+        grant
     }
 
     /// Charge CPU time starting no earlier than now.
@@ -364,40 +316,21 @@ impl<'a, M> Ctx<'a, M> {
 
     /// Read-only view of this node's resources (for load introspection).
     pub fn resources(&self) -> &NodeResources {
-        match &self.backend {
-            CtxBackend::Serial(inner) => &inner.resources[self.self_id],
-            CtxBackend::Shard(shard) => shard.resources(self.self_id),
-        }
+        &self.inner.resources[self.self_id]
     }
 
     /// Read-only view of another node's resources. Real systems cannot peek
     /// at remote load; engines use this only for *measurement*, never for
     /// decisions, so the paper's decentralised-information constraint holds.
-    ///
-    /// # Panics
-    /// Panics under [`Sim::run_parallel`]: remote resource state is not
-    /// coherent inside an epoch. Nothing in the engine calls this from a
-    /// callback; measurement happens after the run.
     pub fn resources_of(&self, node: NodeId) -> &NodeResources {
-        match &self.backend {
-            CtxBackend::Serial(inner) => &inner.resources[node],
-            CtxBackend::Shard(_) => panic!(
-                "Ctx::resources_of is not available under run_parallel: \
-                 remote resources are only coherent at epoch boundaries"
-            ),
-        }
+        &self.inner.resources[node]
     }
 
     /// Arrange for `on_timer(tag)` to fire at absolute time `at`
     /// (clamped to now if in the past).
     pub fn set_timer(&mut self, at: SimTime, tag: u64) {
-        let self_id = self.self_id;
-        match &mut self.backend {
-            CtxBackend::Serial(inner) => {
-                inner.push(at, EventKind::Timer { node: self_id, tag });
-            }
-            CtxBackend::Shard(shard) => shard.set_timer(self_id, at, tag),
-        }
+        let node = self.self_id;
+        self.inner.push(at, EventKind::Timer { node, tag });
     }
 
     /// Arrange for `on_timer(tag)` to fire after `delay`.
@@ -408,59 +341,24 @@ impl<'a, M> Ctx<'a, M> {
 
     /// This node's deterministic random stream.
     pub fn rng(&mut self) -> &mut StdRng {
-        let self_id = self.self_id;
-        match &mut self.backend {
-            CtxBackend::Serial(inner) => &mut inner.rngs[self_id],
-            CtxBackend::Shard(shard) => shard.rng(self_id),
-        }
-    }
-
-    /// Whether this callback is executing speculatively on a parallel-
-    /// kernel shard. Serial execution (including [`Sim::run`] and the
-    /// coordinator-side start callbacks of [`Sim::run_parallel`]) returns
-    /// `false`. Code with globally-ordered side effects (trace recording,
-    /// shared-registry updates) should route them through [`Ctx::defer`]
-    /// when this is `true`.
-    pub fn is_speculative(&self) -> bool {
-        matches!(self.backend, CtxBackend::Shard(_))
-    }
-
-    /// Run a side effect in exact global serial order. Serially the
-    /// closure runs immediately (zero cost beyond the call); under
-    /// [`Sim::run_parallel`] it is journaled on the shard and replayed on
-    /// the coordinator during the epoch's commit walk, interleaved with
-    /// this callback's resource grants and cross-sends in issue order.
-    /// This is how traced parallel runs stay byte-identical to serial.
-    pub fn defer(&mut self, f: Box<dyn FnOnce() + Send>) {
-        match &mut self.backend {
-            CtxBackend::Serial(_) => f(),
-            CtxBackend::Shard(shard) => shard.defer(f),
-        }
+        &mut self.inner.rngs[self.self_id]
     }
 
     /// Request that the simulation stop after the current callback returns.
-    ///
-    /// Under [`Sim::run_parallel`] only nodes declaring
-    /// [`Node::may_stop`] may call this (they execute serially each epoch,
-    /// so the stop point is an exact serial-order watermark); any other
-    /// caller panics.
     pub fn stop(&mut self) {
-        match &mut self.backend {
-            CtxBackend::Serial(inner) => inner.stopped = true,
-            CtxBackend::Shard(shard) => shard.stop(),
-        }
+        self.inner.stopped = true;
     }
 }
 
 /// A discrete-event simulation over nodes of type `N`.
 pub struct Sim<N: Node> {
-    pub(crate) nodes: Vec<N>,
-    pub(crate) inner: SimInner<N::Msg>,
-    pub(crate) started: bool,
-    pub(crate) seed: u64,
+    nodes: Vec<N>,
+    inner: SimInner<N::Msg>,
+    started: bool,
+    seed: u64,
     /// Hardware specs, retained so a fault-plan restart can rebuild a
     /// node's resources from scratch.
-    pub(crate) specs: Vec<NodeSpec>,
+    specs: Vec<NodeSpec>,
 }
 
 impl<N: Node> Sim<N> {
@@ -552,19 +450,17 @@ impl<N: Node> Sim<N> {
     }
 
     /// Run all `on_start` callbacks once (idempotent).
-    pub(crate) fn run_starts(&mut self) {
+    fn run_starts(&mut self) {
         if !self.started {
             self.started = true;
             for id in 0..self.nodes.len() {
-                let mut ctx = Ctx::serial(&mut self.inner, id);
+                let mut ctx = Ctx::new(&mut self.inner, id);
                 self.nodes[id].on_start(&mut ctx);
             }
         }
     }
 
-    /// Dispatch one already-popped event at its timestamp. Shared by the
-    /// serial loop; the parallel kernel routes events through its shards
-    /// instead but replays the identical semantics.
+    /// Dispatch one already-popped event at its timestamp.
     fn dispatch(&mut self, time: SimTime, kind: EventKind<N::Msg>) {
         match kind {
             EventKind::Deliver { from, to, msg } => {
@@ -585,7 +481,7 @@ impl<N: Node> Sim<N> {
                     }
                 }
                 self.inner.totals.messages += 1;
-                let mut ctx = Ctx::serial(&mut self.inner, to);
+                let mut ctx = Ctx::new(&mut self.inner, to);
                 self.nodes[to].on_message(from, msg, &mut ctx);
             }
             EventKind::Inject { to, msg, bytes } => {
@@ -601,7 +497,7 @@ impl<N: Node> Sim<N> {
                         return;
                     }
                 }
-                let mut ctx = Ctx::serial(&mut self.inner, node);
+                let mut ctx = Ctx::new(&mut self.inner, node);
                 self.nodes[node].on_timer(tag, &mut ctx);
             }
             EventKind::Fault { node, kind } => {
@@ -615,7 +511,7 @@ impl<N: Node> Sim<N> {
                     self.inner.resources[node] =
                         NodeResources::new(spec.cores, spec.disk_channels, spec.net_bw_bps, time);
                 }
-                let mut ctx = Ctx::serial(&mut self.inner, node);
+                let mut ctx = Ctx::new(&mut self.inner, node);
                 self.nodes[node].on_fault(kind, &mut ctx);
             }
         }

@@ -1,16 +1,14 @@
 //! The telemetry recorder: a per-run collector of trace events and metrics.
 //!
 //! A `Telemetry` instance is shared (via [`TelemetryHandle`]) by every
-//! actor in one simulation cell. Within a cell the recorder is only ever
-//! touched from one thread at a time — serially under the serial kernel,
-//! and exclusively from the coordinating thread's commit walk under
-//! `Sim::run_parallel` (shards journal their recording as deferred effects
-//! instead of touching the recorder) — so the handle needs mutual
-//! exclusion only to be *sound*, never to arbitrate real contention. It
-//! therefore uses a single atomic flag plus an `UnsafeCell` rather than a
-//! `Mutex`: one uncontended compare-exchange per access instead of a
-//! pthread lock, which is what keeps the traced hot path (a `record` per
-//! event) cheap.
+//! actor in one simulation cell, all of which record from the thread that
+//! runs the cell. Other threads touch it only to scrape: `jl-serve`'s
+//! reader and responder threads read metrics, window snapshots and the
+//! flight ring while the event loop records. Those scrapes are rare and
+//! short, so the handle uses a single atomic flag plus an `UnsafeCell`
+//! rather than a `Mutex`: one uncontended compare-exchange per access
+//! instead of a pthread lock, which is what keeps the traced hot path (a
+//! `record` per event) cheap.
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
@@ -26,8 +24,8 @@ use crate::registry::MetricsRegistry;
 
 /// Destination for recorded trace events. The default [`VecSink`] buffers
 /// them for end-of-run export; a custom sink can stream them elsewhere.
-/// `Send` so a recorder can live inside node state that crosses threads
-/// under the parallel kernel.
+/// `Send` so a recorder can live inside node state that moves to the
+/// wall-clock backend's loop thread.
 pub trait TelemetrySink: Send {
     /// Accept one event.
     fn record(&mut self, ev: TraceEvent);
@@ -302,11 +300,11 @@ impl std::fmt::Debug for Telemetry {
 }
 
 /// The shared cell behind a [`TelemetryHandle`]: an exclusive-access flag
-/// guarding the recorder. Access is always uncontended by construction
-/// (one thread at a time, see the module docs), so exclusion is a single
-/// compare-exchange; genuine contention — a bug in the calling kernel —
-/// spins, and a double-borrow from one thread panics via the same path a
-/// `RefCell` would (after a bounded spin), instead of deadlocking.
+/// guarding the recorder. Access is nearly always uncontended (see the
+/// module docs), so exclusion is a single compare-exchange; a scrape racing
+/// the recording thread spins until the other side is done, and a
+/// double-borrow from one thread panics via the same path a `RefCell` would
+/// (after a bounded spin), instead of deadlocking.
 struct TelemetryCell {
     busy: AtomicBool,
     inner: UnsafeCell<Telemetry>,
@@ -349,13 +347,11 @@ impl Drop for TelemetryGuard<'_> {
 
 /// Shared handle to one simulation cell's recorder.
 ///
-/// Historically `Rc<RefCell<Telemetry>>`, then `Arc<Mutex<_>>` for the
-/// parallel kernel's `Send` requirement; now an `Arc` over a one-flag
-/// exclusive cell, because the access pattern is single-threaded by
-/// construction and a pthread mutex on the per-event hot path was the bulk
-/// of the traced-run overhead. The `borrow`/`borrow_mut` names are kept so
-/// call sites read the same as the `RefCell` era; both take exclusive
-/// access.
+/// An `Arc` over a one-flag exclusive cell: it is shared across threads
+/// because `jl-serve` scrapes the recorder from its reader and responder
+/// threads while the event loop records, and a pthread mutex on the
+/// per-event hot path would dominate the traced-run overhead. `borrow` and
+/// `borrow_mut` both take exclusive access.
 #[derive(Clone)]
 pub struct TelemetryHandle(Arc<TelemetryCell>);
 
@@ -382,8 +378,7 @@ impl TelemetryHandle {
     }
 
     /// Contended path, kept out of line: spin briefly (another thread is
-    /// mid-record — possible only if the calling kernel broke its
-    /// one-thread-at-a-time contract), then treat a persistent holder as a
+    /// mid-record or mid-scrape), then treat a persistent holder as a
     /// same-thread double borrow and panic like `RefCell` would.
     #[cold]
     fn lock_slow(&self) {
